@@ -159,13 +159,8 @@ let demo_cmd =
 (* SIGINT/SIGTERM request a graceful drain: the flag flips, the blocking
    accept returns with EINTR, and the loop exits — but an in-flight
    connection always runs to completion first (Wire frame I/O restarts on
-   EINTR, so a signal never tears a frame mid-read).
-
-   Each connection gets its own domain: a coalescing serve-s1 holds one
-   scheduler connection open for its whole lifetime, so a sequential
-   accept loop would lock out every later client (a second S1, a stats
-   scrape). Responder state stays per-connection; the registry is the
-   only thing shared, and it locks internally. *)
+   EINTR, so a signal never tears a frame mid-read). The accept loop
+   itself is [S2_server.listen]. *)
 let serve_s2 port once =
   let stop = ref false in
   let on_signal = Sys.Signal_handle (fun _ -> stop := true) in
@@ -174,9 +169,6 @@ let serve_s2 port once =
   (* daemon-level telemetry, scrapeable with a bare Stats_req as the first
      frame on a fresh connection ('topk_cli stats') *)
   let reg = Obs.Registry.create () in
-  let connections_c = Obs.Registry.counter reg "connections" in
-  let warmup_g = Obs.Registry.gauge reg "comb_warmup_seconds" in
-  let combs_g = Obs.Registry.gauge reg "combs_built" in
   let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.setsockopt sock Unix.SO_REUSEADDR true;
   Unix.bind sock (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
@@ -184,71 +176,11 @@ let serve_s2 port once =
   (match Unix.getsockname sock with
   | Unix.ADDR_INET (_, p) -> Format.printf "S2 daemon listening on 127.0.0.1:%d@.%!" p
   | _ -> ());
-  (* Live connection domains plus a finished-awaiting-join list, reaped
-     on each accept: a long-lived daemon taking periodic stats scrapes
-     must not accumulate one dead handle per connection for the process
-     lifetime. Spawning happens under the lock, and a finishing domain
-     retires its own entry under the same lock, so the retire can never
-     miss an entry the spawner has not inserted yet. *)
-  let conns = ref [] in
-  let reaped = ref [] in
-  let doms_lock = Mutex.create () in
-  let next_id = ref 0 in
-  let serve_conn id fd =
-    (try
-       Proto.S2_server.serve_fd fd ~registry:reg
-         ~on_ready:(fun dt ->
-           (* warm-up is scrapeable, not just a line lost in stdout:
-              latest duration + cumulative comb-table count (pub,
-              djpub, own_pub per provisioning) *)
-           Obs.Registry.set warmup_g dt;
-           Obs.Registry.add_gauge combs_g 3.;
-           Format.printf "S2: keys provisioned, combs warmed in %.0f ms@.%!"
-             (dt *. 1000.))
-     with e -> Format.eprintf "S2: connection failed: %s@." (Printexc.to_string e));
-    (try Unix.close fd with Unix.Unix_error _ -> ());
-    Format.printf "S2: connection closed@.%!";
-    Mutex.lock doms_lock;
-    let mine, rest = List.partition (fun (id', _) -> id' = id) !conns in
-    conns := rest;
-    reaped := List.rev_append (List.map snd mine) !reaped;
-    Mutex.unlock doms_lock
-  in
-  let rec loop () =
-    if not !stop then
-      match Unix.accept sock with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop () (* re-check the flag *)
-      | fd, _peer ->
-        (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
-        Obs.Registry.inc connections_c;
-        Format.printf "S2: connection accepted@.%!";
-        Mutex.lock doms_lock;
-        let id = !next_id in
-        incr next_id;
-        let d = Domain.spawn (fun () -> serve_conn id fd) in
-        conns := (id, d) :: !conns;
-        Mutex.unlock doms_lock;
-        let finished =
-          Mutex.lock doms_lock;
-          let r = !reaped in
-          reaped := [];
-          Mutex.unlock doms_lock;
-          r
-        in
-        List.iter Domain.join finished;
-        if not once then loop ()
-  in
-  loop ();
-  (* drain: every accepted connection still runs to completion *)
-  let ds =
-    Mutex.lock doms_lock;
-    let ds = List.rev_append (List.map snd !conns) !reaped in
-    conns := [];
-    reaped := [];
-    Mutex.unlock doms_lock;
-    ds
-  in
-  List.iter Domain.join ds;
+  Proto.S2_server.listen ~registry:reg ~once
+    ~stop:(fun () -> !stop)
+    ~log:(fun line -> Format.printf "%s@.%!" line)
+    ~warn:(fun line -> Format.eprintf "%s@." line)
+    sock;
   Unix.close sock;
   if !stop then Format.printf "S2: drained, listener closed@.%!"
 
@@ -448,7 +380,12 @@ let serve_s1 store_dir port seed bits variant workers queue_depth s2_addr metric
       Array.iter Store.close stores)
 
 let workers_arg =
-  Arg.(value & opt int 2 & info [ "workers" ] ~doc:"Worker domains executing queries.")
+  Arg.(
+    value & opt int 2
+    & info [ "workers" ]
+        ~doc:
+          "Worker domains executing queries; also each query's compute width (idle \
+           workers run a busy query's pure arithmetic).")
 
 let queue_depth_arg =
   Arg.(value & opt int 8
@@ -516,7 +453,14 @@ let query_client s1_addr key_file k m seed bits =
               exit 4
             | Some frame -> Proto.Wire.decode_server_msg wkeys frame
           in
+          let busy () =
+            Format.printf "server busy — retry later@.";
+            exit 3
+          in
           match read_msg () with
+          (* a listener that cannot start a domain for the connection
+             answers Busy in place of the hello *)
+          | Proto.Wire.Busy -> busy ()
           | Proto.Wire.Server_hello { n; m = m_total; s = _; key_bits } ->
             if key_bits <> bits then begin
               Format.eprintf "query: server key is %d bits, ours %d@." key_bits bits;
@@ -538,9 +482,7 @@ let query_client s1_addr key_file k m seed bits =
               List.iter
                 (fun (id, w, b) -> Format.printf "  %-6s score in [%d, %d]@." id w b)
                 reals
-            | Proto.Wire.Busy ->
-              Format.printf "server busy — retry later@.";
-              exit 3
+            | Proto.Wire.Busy -> busy ()
             | Proto.Wire.Server_error e ->
               Format.eprintf "server error: %s@." e;
               exit 4

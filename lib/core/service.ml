@@ -1,62 +1,46 @@
-(* Persistent bounded worker pool: the long-lived sibling of Pool.run.
-   Pool evaluates one batch and joins its domains; Service keeps a fixed
-   crew of domains alive across requests (the serving daemon's query
-   executor) behind a bounded admission queue, so overload surfaces as an
-   immediate [`Busy] instead of unbounded queueing. *)
+(* Persistent bounded worker pool: serve-s1's query executor. The
+   workers are the process-wide Pool's helper domains ([Pool.reserve]),
+   so an idle worker also takes compute chunks — ahead of queued queries
+   — and a query's own [Pool.map]s spread onto the other workers. The
+   service itself is only admission: at most [domains] jobs are handed to
+   the pool at a time, the rest wait here in submission order, and
+   overload surfaces as an immediate [`Busy] instead of unbounded
+   queueing. *)
 
 type t = {
   lock : Mutex.t;
-  work : Condition.t;  (* signalled when a job arrives or draining starts *)
   idle : Condition.t;  (* signalled when a job finishes *)
-  jobs : (unit -> unit) Queue.t;
+  waiting : (unit -> unit) Queue.t;  (* admitted, not yet handed to the pool *)
   queue_depth : int;
   domains : int;
-  mutable running : int;  (* jobs currently executing *)
+  mutable running : int;  (* jobs handed to the pool and not yet finished *)
   mutable accepting : bool;
-  mutable crew : unit Domain.t list;
 }
 
-let worker t () =
-  let rec loop () =
-    Mutex.lock t.lock;
-    while t.accepting && Queue.is_empty t.jobs do
-      Condition.wait t.work t.lock
-    done;
-    match Queue.take_opt t.jobs with
-    | None ->
-      (* not accepting and nothing queued: the crew retires *)
-      Mutex.unlock t.lock;
-      ()
-    | Some job ->
-      t.running <- t.running + 1;
-      Mutex.unlock t.lock;
+(* Call under [t.lock]. *)
+let rec start t job =
+  t.running <- t.running + 1;
+  Pool.async (fun () ->
       (try job () with _ -> ());
       Mutex.lock t.lock;
       t.running <- t.running - 1;
+      Option.iter (start t) (Queue.take_opt t.waiting);
       Condition.broadcast t.idle;
-      Mutex.unlock t.lock;
-      loop ()
-  in
-  loop ()
+      Mutex.unlock t.lock)
 
 let create ~domains ~queue_depth =
   if domains <= 0 then invalid_arg "Service.create: domains <= 0";
   if queue_depth < 0 then invalid_arg "Service.create: queue_depth < 0";
-  let t =
-    {
-      lock = Mutex.create ();
-      work = Condition.create ();
-      idle = Condition.create ();
-      jobs = Queue.create ();
-      queue_depth;
-      domains;
-      running = 0;
-      accepting = true;
-      crew = [];
-    }
-  in
-  t.crew <- List.init domains (fun _ -> Domain.spawn (worker t));
-  t
+  Pool.reserve domains;
+  {
+    lock = Mutex.create ();
+    idle = Condition.create ();
+    waiting = Queue.create ();
+    queue_depth;
+    domains;
+    running = 0;
+    accepting = true;
+  }
 
 (* Admission: a job is taken if a worker can start it immediately or the
    waiting queue has room; otherwise the caller learns [`Busy] right away
@@ -64,9 +48,8 @@ let create ~domains ~queue_depth =
 let submit t job =
   Mutex.lock t.lock;
   let verdict =
-    if t.accepting && t.running + Queue.length t.jobs < t.domains + t.queue_depth then begin
-      Queue.add job t.jobs;
-      Condition.signal t.work;
+    if t.accepting && t.running + Queue.length t.waiting < t.domains + t.queue_depth then begin
+      if t.running < t.domains then start t job else Queue.add job t.waiting;
       `Accepted
     end
     else `Busy
@@ -76,14 +59,10 @@ let submit t job =
 
 let drain t =
   Mutex.lock t.lock;
-  if t.accepting then begin
-    t.accepting <- false;
-    Condition.broadcast t.work
-  end;
-  while (not (Queue.is_empty t.jobs)) || t.running > 0 do
+  let first = t.accepting in
+  t.accepting <- false;
+  while (not (Queue.is_empty t.waiting)) || t.running > 0 do
     Condition.wait t.idle t.lock
   done;
-  let crew = t.crew in
-  t.crew <- [];
   Mutex.unlock t.lock;
-  List.iter Domain.join crew
+  if first then Pool.release t.domains

@@ -69,19 +69,30 @@ let g_pow pub x =
   let t2 = Nat.rem (Nat.mul (Nat.rem binom pub.n) pub.n2) pub.n3 in
   Modular.add (Modular.add Nat.one t1 ~m:pub.n3) t2 ~m:pub.n3
 
-let noise rng pub =
+(* Draw/exponentiate split, as in [Paillier.draw_nonce]. *)
+type nonce = Nat.t
+
+let draw_nonce rng pub =
   match pub.rand_bits with
-  | None -> Modular.pow (Rng.unit_mod rng pub.n) pub.n2 ~m:pub.n3
+  | None -> Rng.unit_mod rng pub.n
+  | Some b -> Nat.succ (Rng.nat_bits rng b)
+
+let noise_of_nonce pub nonce =
+  match pub.rand_bits with
+  | None -> Modular.pow nonce pub.n2 ~m:pub.n3
   | Some b -> begin
-    let rho = Nat.succ (Rng.nat_bits rng b) in
     match Fixed_base.cached ~base:pub.h2 ~m:pub.n3 ~max_bits:(b + 1) with
-    | Some fb -> Fixed_base.pow fb rho
-    | None -> Modular.pow pub.h2 rho ~m:pub.n3
+    | Some fb -> Fixed_base.pow fb nonce
+    | None -> Modular.pow pub.h2 nonce ~m:pub.n3
   end
 
-let encrypt rng pub x =
+let noise rng pub = noise_of_nonce pub (draw_nonce rng pub)
+
+let encrypt_nonce pub nonce x =
   Obs.bump Obs.Metrics.Dj_enc;
-  Modular.mul (g_pow pub x) (noise rng pub) ~m:pub.n3
+  Modular.mul (g_pow pub x) (noise_of_nonce pub nonce) ~m:pub.n3
+
+let encrypt rng pub x = encrypt_nonce pub (draw_nonce rng pub) x
 
 let trivial pub x = g_pow pub x
 

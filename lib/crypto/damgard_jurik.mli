@@ -31,6 +31,13 @@ val public_of_paillier : Paillier.public -> public
 (** [encrypt rng pub x] encrypts [x mod n^2]: [(1+n)^x * r^(n^2) mod n^3]. *)
 val encrypt : Rng.t -> public -> Nat.t -> ciphertext
 
+(** Draw/exponentiate split of {!encrypt}, as {!Paillier.draw_nonce}:
+    [encrypt rng pub x = encrypt_nonce pub (draw_nonce rng pub) x]. *)
+type nonce
+
+val draw_nonce : Rng.t -> public -> nonce
+val encrypt_nonce : public -> nonce -> Nat.t -> ciphertext
+
 (** Encrypt a Paillier ciphertext as the DJ plaintext (layered). *)
 val encrypt_layered : Rng.t -> public -> Paillier.ciphertext -> ciphertext
 

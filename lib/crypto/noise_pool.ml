@@ -10,7 +10,7 @@ open Bignum
    serialized by the [producing] flag), so value [i] is a pure function
    of the root seed and the stream a protocol run sees does not depend
    on whether (or how far ahead) the background filler ran. Whoever
-   produces (filler domain or a starved consumer) owns the root
+   produces (a refill job or a starved consumer) owns the root
    generator for the duration of its draw, and results enter the FIFO
    in index order.
 
@@ -19,10 +19,11 @@ open Bignum
    place. Consumption is accounted instead — one [Rerand_pool] bump per
    [take].
 
-   The filler uses a real domain, so the no-live-domain-at-fork invariant
-   applies (see lib/core/pool.ml): [quiesce] every started filler before
-   anything calls [Unix.fork]. Pools start with the filler off; sockets'
-   S2 daemons (which never fork again) start one in [serve_fd]. *)
+   The filler is a chain of refill jobs handed to a caller-supplied
+   [submit] (the daemon's compute pool): each job banks one value and
+   re-submits itself while the pool is below its low-water mark, so
+   refills never hold a domain of their own and queue behind the
+   daemon's compute chunks. *)
 
 type t = {
   gen : Rng.t -> Nat.t;
@@ -32,8 +33,9 @@ type t = {
   values : Nat.t Queue.t;
   mutable producing : bool;
   depth : int; (* filler keeps at least this many values banked *)
-  mutable filler : unit Domain.t option;
-  mutable stop : bool;
+  mutable submit : ((unit -> unit) -> unit) option; (* filler on *)
+  mutable queued : bool; (* a refill job is submitted and not yet run *)
+  mutable refilling : bool; (* a refill job is running *)
 }
 
 let create ?(depth = 64) rng ~label gen =
@@ -45,8 +47,9 @@ let create ?(depth = 64) rng ~label gen =
     values = Queue.create ();
     producing = false;
     depth;
-    filler = None;
-    stop = false;
+    submit = None;
+    queued = false;
+    refilling = false;
   }
 
 (* Requires the lock held and [producing = false]; computes the next
@@ -62,15 +65,44 @@ let produce_locked t =
   t.producing <- false;
   Condition.broadcast t.cond
 
+(* Under the lock: the refill job to submit once the lock is released,
+   if the filler is on, below its mark and not already queued or
+   running. *)
+let claim_refill t =
+  match t.submit with
+  | Some submit
+    when Queue.length t.values < t.depth && not (t.queued || t.refilling) ->
+    t.queued <- true;
+    Some submit
+  | _ -> None
+
+let rec refill t () =
+  Mutex.lock t.mutex;
+  t.queued <- false;
+  (* a starved consumer may be producing: it owns the generator *)
+  while t.producing do
+    Condition.wait t.cond t.mutex
+  done;
+  if t.submit <> None && Queue.length t.values < t.depth then begin
+    t.refilling <- true;
+    produce_locked t;
+    t.refilling <- false;
+    Condition.broadcast t.cond
+  end;
+  let next = claim_refill t in
+  Mutex.unlock t.mutex;
+  Option.iter (fun submit -> submit (refill t)) next
+
 let take t =
   Obs.bump Obs.Metrics.Rerand_pool;
   Mutex.lock t.mutex;
   let rec next () =
     if not (Queue.is_empty t.values) then begin
       let v = Queue.pop t.values in
-      (* below the low-water mark again: wake the filler *)
-      Condition.broadcast t.cond;
+      (* below the low-water mark again: queue a refill *)
+      let kick = claim_refill t in
       Mutex.unlock t.mutex;
+      Option.iter (fun submit -> submit (refill t)) kick;
       v
     end
     else if t.producing then begin
@@ -97,35 +129,17 @@ let banked t =
   Mutex.unlock t.mutex;
   n
 
-let filler_loop t =
+let start_filler t ~submit =
   Mutex.lock t.mutex;
-  let rec loop () =
-    if t.stop then Mutex.unlock t.mutex
-    else if Queue.length t.values >= t.depth || t.producing then begin
-      Condition.wait t.cond t.mutex;
-      loop ()
-    end
-    else begin
-      produce_locked t;
-      loop ()
-    end
-  in
-  loop ()
-
-let start_filler t =
-  Mutex.lock t.mutex;
-  match t.filler with
-  | Some _ -> Mutex.unlock t.mutex
-  | None ->
-    t.stop <- false;
-    t.filler <- Some (Domain.spawn (fun () -> filler_loop t));
-    Mutex.unlock t.mutex
+  t.submit <- Some submit;
+  let kick = claim_refill t in
+  Mutex.unlock t.mutex;
+  Option.iter (fun submit -> submit (refill t)) kick
 
 let quiesce t =
   Mutex.lock t.mutex;
-  t.stop <- true;
-  Condition.broadcast t.cond;
-  let task = t.filler in
-  t.filler <- None;
-  Mutex.unlock t.mutex;
-  Option.iter Domain.join task
+  t.submit <- None;
+  while t.refilling do
+    Condition.wait t.cond t.mutex
+  done;
+  Mutex.unlock t.mutex

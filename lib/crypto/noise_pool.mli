@@ -3,7 +3,7 @@
     A re-randomization multiplies a ciphertext by a fresh encryption of
     zero — one modular exponentiation ([Paillier.noise],
     [Damgard_jurik.noise]) per call. The pool precomputes those noise
-    values (optionally on a background domain), leaving a single modular
+    values (optionally in background jobs), leaving a single modular
     multiplication on the query path ({!Paillier.rerandomize_with},
     {!Damgard_jurik.rerandomize_with}).
 
@@ -31,10 +31,12 @@ val prefill : t -> int -> unit
 (** Number of values currently banked. *)
 val banked : t -> int
 
-(** Spawn the background filler domain (idempotent). The
-    no-live-domain-at-fork invariant applies: {!quiesce} before anything
-    calls [Unix.fork] in this process. *)
-val start_filler : t -> unit
+(** Turn the background filler on: whenever fewer than [depth] values are
+    banked, one refill job at a time is handed to [submit] (a daemon
+    passes [Core.Pool.async]); each banks one value and re-submits itself
+    while still below the mark. Idempotent. *)
+val start_filler : t -> submit:((unit -> unit) -> unit) -> unit
 
-(** Stop and join the filler, if running. Banked values stay usable. *)
+(** Turn the filler off and wait for a running refill job to finish.
+    Banked values stay usable. *)
 val quiesce : t -> unit

@@ -64,22 +64,36 @@ let secret_params sk = (sk.p, sk.q, sk.lambda)
 
 let with_rand_bits pub rb = { pub with rand_bits = rb }
 
-let noise rng pub =
+(* The randomness of one encryption, drawn but not yet exponentiated:
+   the unit r of r^n, or the short exponent rho of h^rho. Splitting the
+   draw from the exponentiation lets a caller draw nonces in order on
+   one domain and exponentiate them anywhere (DESIGN.md section 4j). *)
+type nonce = Nat.t
+
+let draw_nonce rng pub =
   match pub.rand_bits with
-  | None -> Modular.pow (Rng.unit_mod rng pub.n) pub.n ~m:pub.n2
+  | None -> Rng.unit_mod rng pub.n
+  (* rho = rand_bits-bit value + 1, so the comb needs b+1 bits *)
+  | Some b -> Nat.succ (Rng.nat_bits rng b)
+
+let noise_of_nonce pub nonce =
+  match pub.rand_bits with
+  | None -> Modular.pow nonce pub.n ~m:pub.n2
   | Some b -> begin
-    (* rho = rand_bits-bit value + 1, so the comb needs b+1 bits *)
-    let rho = Nat.succ (Rng.nat_bits rng b) in
     match Fixed_base.cached ~base:pub.h ~m:pub.n2 ~max_bits:(b + 1) with
-    | Some fb -> Fixed_base.pow fb rho
-    | None -> Modular.pow pub.h rho ~m:pub.n2
+    | Some fb -> Fixed_base.pow fb nonce
+    | None -> Modular.pow pub.h nonce ~m:pub.n2
   end
 
-let encrypt rng pub m =
+let noise rng pub = noise_of_nonce pub (draw_nonce rng pub)
+
+let encrypt_nonce pub nonce m =
   Obs.bump Obs.Metrics.Paillier_enc;
   let m = Nat.rem m pub.n in
   let gm = Nat.rem (Nat.succ (Nat.mul m pub.n)) pub.n2 in
-  Modular.mul gm (noise rng pub) ~m:pub.n2
+  Modular.mul gm (noise_of_nonce pub nonce) ~m:pub.n2
+
+let encrypt rng pub m = encrypt_nonce pub (draw_nonce rng pub) m
 
 let encrypt_int rng pub m =
   if m < 0 then invalid_arg "Paillier.encrypt_int: negative (use Nat encoding)";

@@ -47,6 +47,17 @@ val secret_params : secret -> Nat.t * Nat.t * Nat.t
 val encrypt : Rng.t -> public -> Nat.t -> ciphertext
 
 val encrypt_int : Rng.t -> public -> int -> ciphertext
+
+(** The randomness of one encryption, drawn but not yet exponentiated.
+    [encrypt rng pub m] is exactly [encrypt_nonce pub (draw_nonce rng pub)
+    m]: a caller can draw nonces in order on one domain and run the
+    exponentiations on others, byte-identically. *)
+type nonce
+
+val draw_nonce : Rng.t -> public -> nonce
+
+(** Pure: the comb (or full) exponentiation of {!encrypt}. *)
+val encrypt_nonce : public -> nonce -> Nat.t -> ciphertext
 val decrypt : secret -> ciphertext -> Nat.t
 
 (** Decrypts and maps residues above [n/2] to negative integers (the

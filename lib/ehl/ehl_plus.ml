@@ -8,7 +8,10 @@ let encode rng pub ~keys id =
   |> List.map (fun key -> Paillier.encrypt rng pub (Prf.to_nat_mod ~key id ~m:pub.Paillier.n))
   |> Array.of_list
 
-let diff ?blind_bits rng pub (a : t) (b : t) =
+(* [diff] in two halves: [diff_blinds] draws the per-cell blinds (the
+   only randomness), [diff_with] is the pure multi-exponentiation, so a
+   caller can draw a whole grid in order and compute it in parallel. *)
+let diff_blinds ?blind_bits rng pub (a : t) (b : t) =
   if Array.length a <> Array.length b then invalid_arg "Ehl_plus.diff: length mismatch";
   let n = pub.Paillier.n in
   let blind () =
@@ -18,7 +21,12 @@ let diff ?blind_bits rng pub (a : t) (b : t) =
   in
   (* blinds drawn in index order, exactly like the per-cell loop this
      replaces *)
-  let rhos = Array.map (fun _ -> blind ()) a in
+  Array.map (fun _ -> blind ()) a
+
+let diff_with pub (a : t) (b : t) rhos =
+  if Array.length a <> Array.length b || Array.length a <> Array.length rhos then
+    invalid_arg "Ehl_plus.diff: length mismatch";
+  let n = pub.Paillier.n in
   (* prod_i a_i^rho_i * b_i^(n - rho_i) decrypts to
      sum_i rho_i * (a_i - b_i) mod n: one simultaneous
      multi-exponentiation over 2s bases instead of a ciphertext negation
@@ -28,6 +36,8 @@ let diff ?blind_bits rng pub (a : t) (b : t) =
     pairs := (a.(i), rhos.(i)) :: (b.(i), Nat.sub n rhos.(i)) :: !pairs
   done;
   Paillier.scalar_mul_many pub !pairs
+
+let diff ?blind_bits rng pub a b = diff_with pub a b (diff_blinds ?blind_bits rng pub a b)
 
 let mask pub (e : t) encs =
   if Array.length e <> Array.length encs then invalid_arg "Ehl_plus.mask: length mismatch";

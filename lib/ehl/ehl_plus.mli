@@ -18,6 +18,17 @@ val encode : Rng.t -> Paillier.public -> keys:Prf.key list -> string -> t
     an encryption of a random element. *)
 val diff : ?blind_bits:int -> Rng.t -> Paillier.public -> t -> t -> Paillier.ciphertext
 
+(** {!diff} split into its draw and its compute half:
+    [diff ?blind_bits rng pub a b] is
+    [diff_with pub a b (diff_blinds ?blind_bits rng pub a b)].
+    [diff_blinds] draws the per-cell blinds (all of [diff]'s randomness);
+    [diff_with] is pure, so a caller can draw a whole grid of blinds in
+    order and run the multi-exponentiations in parallel. *)
+val diff_blinds :
+  ?blind_bits:int -> Rng.t -> Paillier.public -> t -> t -> Bignum.Nat.t array
+
+val diff_with : Paillier.public -> t -> t -> Bignum.Nat.t array -> Paillier.ciphertext
+
 (** The ⊙ operation (Section 5, "Notation"): blockwise product with a
     vector of encryptions — [mask pub e encs] multiplies cell [i] by
     [encs.(i)], homomorphically adding [alpha_i] to the hidden hash value.

@@ -65,7 +65,8 @@ let of_keys ?blind_bits ?(domains = 1) ?mode ?rtt_us rng pub sk =
       Transport.mux keys sched ~session
     | Inproc | Loopback ->
       let server =
-        S2_server.create ~pub ~djpub ~sk ~djsk:(Option.get djsk_opt) ~own_pub ~rng:s2_rng
+        S2_server.create ~domains ~pub ~djpub ~sk ~djsk:(Option.get djsk_opt) ~own_pub
+          ~rng:s2_rng ()
       in
       (match mode with
       | Inproc -> Transport.inproc keys server
@@ -202,7 +203,7 @@ let fork_subs t ~jobs =
       {
         s1 = { t.s1 with rng = sub_rng; djnoise = make_djnoise sub_rng t.s1.djpub };
         transport = Transport.fork t.transport ~label;
-        domains = 1;
+        domains = t.domains;
         obs = Obs.Collector.create ();
         batching = t.batching;
       }
@@ -221,22 +222,28 @@ let join_subs t subs =
 
 (* The socket and mux transports are one ordered stream each:
    interleaved frames from several domains would corrupt (or deadlock)
-   them, so parallelism degrades to sequential execution there (index
-   order, same results). *)
+   them, so sub-sessions that talk to S2 (the shard coordinator's) run
+   one after another there (index order, same results). *)
 let effective_domains t = if Transport.concurrent t.transport then t.domains else 1
 
+(* [parallel]'s tasks use only their sub-context's S1 half, so they run
+   at full width on every transport; the S2 halves are still forked and
+   joined so both parties' generator derivations stay aligned. Each task
+   runs against its sub-context's private collector; the join merges
+   them into whatever collector is current on the calling domain, in
+   index order, so counters and span trees are width-independent. *)
 let parallel t ~jobs f =
   let subs = fork_subs t ~jobs in
-  (* Each task runs against its sub-context's private collector; the
-     join merges them into whatever collector is current on the calling
-     domain (the protocol entry point installed it), in index order, so
-     counters and span trees are width-independent. *)
   let results =
-    Core.Pool.run ~domains:(effective_domains t) ~jobs (fun i ->
+    Core.Pool.map ~domains:t.domains ~jobs (fun i ->
         Obs.with_collector subs.(i).obs (fun () -> f subs.(i) i))
   in
   join_subs t subs;
   results
+
+let compute t ~jobs f = Core.Pool.map ~domains:t.domains ~jobs f
+
+let compute_list t f xs = Core.Pool.map_list ~domains:t.domains f xs
 
 let paillier_ct_bytes t = Paillier.ciphertext_bytes t.s1.pub
 let dj_ct_bytes t = Damgard_jurik.ciphertext_bytes t.s1.djpub

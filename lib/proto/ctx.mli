@@ -34,7 +34,9 @@ type s1 = {
 type t = {
   s1 : s1;
   transport : Transport.t;
-  domains : int;  (** Width of the {!Core.Pool} used by {!parallel}. *)
+  domains : int;
+      (** Compute width: the {!Core.Pool} width of {!compute} and
+          {!parallel} on every transport. *)
   obs : Obs.Collector.t;
       (** Default observability sink for this context: protocol entry
           points install it as the current collector unless an outer
@@ -63,8 +65,9 @@ type mode =
   | Mux of Sched.t * int
 
 (** [create rng ~bits] generates a fresh key pair of modulus width [bits]
-    and builds both party halves. [domains] (default 1) sets the
-    parallelism of {!parallel}; it never affects results or traces. *)
+    and builds both party halves. [domains] (default 1) sets the compute
+    width of both halves (an in-process S2 gets it too); it never affects
+    results, traces or op counts. *)
 val create :
   ?blind_bits:int -> ?domains:int -> ?mode:mode -> ?rtt_us:int -> Rng.t -> bits:int -> t
 
@@ -140,18 +143,32 @@ val remote_stats : t -> (string * int) list
 
 val transport_name : t -> string
 
-(** [parallel t ~jobs f] evaluates [f sub i] for [i] in [0..jobs-1] on a
-    {!Core.Pool} of [t.domains] domains and returns results in index
+(** [parallel t ~jobs f] evaluates [f sub i] for [i] in [0..jobs-1] on
+    the {!Core.Pool} at width [t.domains] and returns results in index
     order. Each [sub] shares the keys of [t] but carries its own
     deterministically forked generators (S1-side from [s1.rng], S2-side
-    through {!Transport.fork}, by index, before any domain starts), a
-    private channel and a private trace; after the batch the channels and
-    traces are merged back into [t] in index order. Results, accounting
-    and traces are therefore byte-identical across any [domains] setting —
-    parallelism is pure mechanism. On a socket transport jobs run
-    sequentially (one ordered byte stream). Sub-contexts must not escape
-    [f]. *)
+    through {!Transport.fork}, by index, before any task starts), a
+    private channel and a private trace; after the batch they are merged
+    back into [t] in index order. Results, accounting and traces are
+    therefore byte-identical across any [domains] setting. [f] may use
+    only its sub-context's S1 half (keys, generators, {!compute}) — never
+    its transport: Socket and Mux are one ordered stream, so concurrent
+    sub-sessions that talk to S2 are driven through {!fork_subs} at
+    {!effective_domains} instead. Sub-contexts must not escape [f]. *)
 val parallel : t -> jobs:int -> (t -> int -> 'a) -> 'a array
+
+(** [compute t ~jobs f] evaluates [f i] for [i] in [0..jobs-1] on the
+    {!Core.Pool} at width [t.domains], on every transport, and returns
+    results in index order. This is the "draw, then compute" half of a
+    protocol step: [f] must be deterministic arithmetic — it draws no
+    randomness, touches no transport and writes no shared state — so
+    every generator draw stays on the calling domain in its sequential
+    order and results, traces and op counters are width-independent
+    (DESIGN.md section 4j). *)
+val compute : t -> jobs:int -> (int -> 'a) -> 'a array
+
+(** {!compute} over a list, order preserved. *)
+val compute_list : t -> ('a -> 'b) -> 'a list -> 'b list
 
 (** [fork_subs t ~jobs] forks the sub-contexts {!parallel} would use and
     returns them without running anything: long-lived coordinators (one
@@ -167,8 +184,10 @@ val fork_subs : t -> jobs:int -> t array
     the parent, in index order (see {!fork_subs}). *)
 val join_subs : t -> t array -> unit
 
-(** The pool width {!parallel} actually uses: [t.domains] when the
-    transport supports concurrent sub-sessions, else 1. *)
+(** How many forked sub-sessions may talk to S2 at once: [t.domains]
+    when the transport supports concurrent sub-sessions, else 1 (they
+    then run in index order). Compute width ({!compute}, {!parallel}) is
+    not limited by it. *)
 val effective_domains : t -> int
 
 (** Serialized sizes used for channel accounting. *)

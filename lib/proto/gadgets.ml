@@ -43,27 +43,41 @@ let recover_enc (ctx : Ctx.t) ~protocol e2c =
 let select_recover ctx ~protocol ~t ~if_one ~if_zero =
   recover_enc ctx ~protocol (select ctx.Ctx.s1 ~t ~if_one ~if_zero)
 
+(* Draw, then compute (DESIGN.md section 4j): each batched gadget first
+   draws all its randomness from [s1.rng] in list order — exactly the
+   draws the element-by-element loop made — and hands only deterministic
+   arithmetic to [Ctx.compute], so results are width-independent. *)
+
+(* The RecoverEnc blinding of one element: r and the nonce of Enc(r). *)
+let draw_blinding (s1 : Ctx.s1) =
+  let r = Rng.nat_below s1.rng s1.pub.Paillier.n in
+  (r, Paillier.draw_nonce s1.rng s1.pub)
+
+(* Ship the blinded E2 values in one batch round and strip each
+   response's blinding (a Paillier negation per element, at width). *)
+let recover_round (ctx : Ctx.t) ~protocol ~who blinded =
+  let s1 = ctx.Ctx.s1 in
+  let resps =
+    Ctx.rpc_batch ctx ~label:protocol (List.map (fun (_, b) -> Wire.Recover b) blinded)
+  in
+  Ctx.compute_list ctx
+    (fun ((enc_r, _), resp) ->
+      match resp with
+      | Wire.Ct inner -> Paillier.sub s1.pub inner enc_r
+      | _ -> failwith ("Gadgets." ^ who ^ ": unexpected response"))
+    (List.combine blinded resps)
+
 (* Batched RecoverEnc: per-element blinding drawn in list order (the same
    draws singleton execution makes), then every Recover in one frame. *)
 let recover_enc_many (ctx : Ctx.t) ~protocol e2cs =
   let s1 = ctx.Ctx.s1 in
-  let blinded =
-    List.map
-      (fun e2c ->
-        let r = Rng.nat_below s1.rng s1.pub.Paillier.n in
-        let enc_r = Paillier.encrypt s1.rng s1.pub r in
-        (enc_r, Damgard_jurik.scalar_mul_ct s1.djpub e2c enc_r))
-      e2cs
-  in
-  let resps =
-    Ctx.rpc_batch ctx ~label:protocol (List.map (fun (_, b) -> Wire.Recover b) blinded)
-  in
-  List.map2
-    (fun (enc_r, _) resp ->
-      match resp with
-      | Wire.Ct inner -> Paillier.sub s1.pub inner enc_r
-      | _ -> failwith "Gadgets.recover_enc_many: unexpected response")
-    blinded resps
+  let drawn = List.map (fun e2c -> (e2c, draw_blinding s1)) e2cs in
+  recover_round ctx ~protocol ~who:"recover_enc_many"
+    (Ctx.compute_list ctx
+       (fun (e2c, (r, nonce)) ->
+         let enc_r = Paillier.encrypt_nonce s1.pub nonce r in
+         (enc_r, Damgard_jurik.scalar_mul_ct s1.djpub e2c enc_r))
+       drawn)
 
 (* Batched RecoverEnc over multi-exponentiation specs. Each spec is the
    pair list of one E2 accumulator [sum_i k_i * x_i]; since the RecoverEnc
@@ -73,28 +87,18 @@ let recover_enc_many (ctx : Ctx.t) ~protocol e2cs =
    (the same draws {!recover_enc_many} makes). *)
 let recover_enc_specs (ctx : Ctx.t) ~protocol specs =
   let s1 = ctx.Ctx.s1 in
-  let blinded =
-    List.map
-      (fun pairs ->
-        let r = Rng.nat_below s1.rng s1.pub.Paillier.n in
-        let enc_r = Paillier.encrypt s1.rng s1.pub r in
-        let e = Paillier.to_nat enc_r in
-        (* account for the blinding exponentiation the fold absorbs *)
-        Obs.bump Obs.Metrics.Dj_mul;
-        ( enc_r,
-          Damgard_jurik.scalar_mul_many s1.djpub
-            (List.map (fun (c, k) -> (c, Nat.mul (Paillier.to_nat k) e)) pairs) ))
-      specs
-  in
-  let resps =
-    Ctx.rpc_batch ctx ~label:protocol (List.map (fun (_, b) -> Wire.Recover b) blinded)
-  in
-  List.map2
-    (fun (enc_r, _) resp ->
-      match resp with
-      | Wire.Ct inner -> Paillier.sub s1.pub inner enc_r
-      | _ -> failwith "Gadgets.recover_enc_specs: unexpected response")
-    blinded resps
+  let drawn = List.map (fun pairs -> (pairs, draw_blinding s1)) specs in
+  recover_round ctx ~protocol ~who:"recover_enc_specs"
+    (Ctx.compute_list ctx
+       (fun (pairs, (r, nonce)) ->
+         let enc_r = Paillier.encrypt_nonce s1.pub nonce r in
+         let e = Paillier.to_nat enc_r in
+         (* account for the blinding exponentiation the fold absorbs *)
+         Obs.bump Obs.Metrics.Dj_mul;
+         ( enc_r,
+           Damgard_jurik.scalar_mul_many s1.djpub
+             (List.map (fun (c, k) -> (c, Nat.mul (Paillier.to_nat k) e)) pairs) ))
+       drawn)
 
 let select_recover_many (ctx : Ctx.t) ~protocol choices =
   let dj = ctx.Ctx.s1.djpub in
@@ -112,12 +116,17 @@ let lift (ctx : Ctx.t) ~protocol cts =
      corrupt the value when the blinding is stripped in the wider DJ
      plaintext space) *)
   let half = Nat.shift_right s1.pub.Paillier.n 1 in
-  let blinded =
+  let drawn =
     List.map
       (fun c ->
         let r = Rng.nat_below s1.rng half in
-        (r, Paillier.add s1.pub c (Paillier.encrypt s1.rng s1.pub r)))
+        (c, r, Paillier.draw_nonce s1.rng s1.pub))
       cts
+  in
+  let blinded =
+    Ctx.compute_list ctx
+      (fun (c, r, nonce) -> (r, Paillier.add s1.pub c (Paillier.encrypt_nonce s1.pub nonce r)))
+      drawn
   in
   (* S2 re-encrypts the (blinded, uniform) plaintexts under DJ *)
   let lifted =
@@ -126,10 +135,41 @@ let lift (ctx : Ctx.t) ~protocol cts =
     | _ -> failwith "Gadgets.lift: unexpected response"
   in
   (* S1 strips the blinding inside the DJ layer *)
-  List.map2
-    (fun (r, _) e2 ->
-      Damgard_jurik.sub s1.djpub e2 (Damgard_jurik.encrypt s1.rng s1.djpub r))
-    blinded lifted
+  let drawn =
+    List.map2
+      (fun (r, _) e2 -> (r, e2, Damgard_jurik.draw_nonce s1.rng s1.djpub))
+      blinded lifted
+  in
+  Ctx.compute_list ctx
+    (fun (r, e2, nonce) ->
+      Damgard_jurik.sub s1.djpub e2 (Damgard_jurik.encrypt_nonce s1.djpub nonce r))
+    drawn
+
+(* One EHL+ difference's draw half ({!Ehl.Ehl_plus.diff_blinds}); the
+   multi-exponentiations of a whole list of lists run in one pass at the
+   context's width ({!diff_lists}). *)
+let draw_diff (s1 : Ctx.s1) a b =
+  (a, b, Ehl.Ehl_plus.diff_blinds ?blind_bits:s1.blind_bits s1.rng s1.pub a b)
+
+let diff_lists (ctx : Ctx.t) drawn =
+  let pub = ctx.Ctx.s1.pub in
+  let flat =
+    ref
+      (Ctx.compute_list ctx
+         (fun (a, b, rhos) -> Ehl.Ehl_plus.diff_with pub a b rhos)
+         (List.concat drawn))
+  in
+  List.map
+    (fun l ->
+      List.map
+        (fun _ ->
+          match !flat with
+          | d :: rest ->
+            flat := rest;
+            d
+          | [] -> assert false)
+        l)
+    drawn
 
 let enc_zero (s1 : Ctx.s1) = ignore s1.rng; Paillier.trivial s1.pub Nat.zero
 

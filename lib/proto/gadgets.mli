@@ -94,6 +94,22 @@ val conjunction_round :
 val lift :
   Ctx.t -> protocol:string -> Paillier.ciphertext list -> Damgard_jurik.ciphertext list
 
+(** Draw, then compute an EHL+ difference grid:
+    [draw_diff s1 a b] draws the blinds of [Ehl_plus.diff a b] from
+    [s1.rng] (call it in the protocol's historical order);
+    [diff_lists ctx drawn] computes every drawn difference in one
+    {!Ctx.compute} pass, keeping the list-of-lists shape. *)
+val draw_diff :
+  Ctx.s1 ->
+  Ehl.Ehl_plus.t ->
+  Ehl.Ehl_plus.t ->
+  Ehl.Ehl_plus.t * Ehl.Ehl_plus.t * Nat.t array
+
+val diff_lists :
+  Ctx.t ->
+  (Ehl.Ehl_plus.t * Ehl.Ehl_plus.t * Nat.t array) list list ->
+  Paillier.ciphertext list list
+
 (** A fresh Paillier encryption of zero by S1 (the [Enc(0)] leg of the
     select gadget). *)
 val enc_zero : Ctx.s1 -> Paillier.ciphertext

@@ -10,11 +10,12 @@ type t = {
   rng : Rng.t;
   trace : Trace.t;
   pnoise : Noise_pool.t;  (** precomputed Paillier re-randomization noise *)
+  domains : int;  (** compute width of the pure decryption/encryption passes *)
 }
 
 let make_pool rng pub = Noise_pool.create rng ~label:"noise" (fun r -> Paillier.noise r pub)
 
-let create ~pub ~djpub ~sk ~djsk ~own_pub ~rng =
+let create ?(domains = 1) ~pub ~djpub ~sk ~djsk ~own_pub ~rng () =
   let pnoise = make_pool rng pub in
   (* warm the per-key tables (Montgomery contexts, fixed-base combs)
      before the first request *)
@@ -22,7 +23,7 @@ let create ~pub ~djpub ~sk ~djsk ~own_pub ~rng =
       Paillier.precompute pub;
       Damgard_jurik.precompute djpub;
       Paillier.precompute own_pub);
-  { pub; djpub; sk; djsk; own_pub; rng; trace = Trace.create (); pnoise }
+  { pub; djpub; sk; djsk; own_pub; rng; trace = Trace.create (); pnoise; domains }
 
 let trace t = t.trace
 let secret_key t = t.sk
@@ -38,7 +39,7 @@ let join sub ~into = Trace.append_into sub.trace ~into:into.trace
    the order [Ctx.provision] does. Demo/test provisioning only: a real
    deployment would ship keys out-of-band (the replay also derives S1's
    personal key pair, whose secret half S2 must never use). *)
-let of_hello (h : Wire.hello) =
+let of_hello ?domains (h : Wire.hello) =
   let root = Rng.create ~seed:h.seed in
   let pub, sk = Paillier.keygen ?rand_bits:h.rand_bits root ~bits:h.key_bits in
   let ctx_rng = Rng.fork root ~label:"ctx" in
@@ -50,7 +51,7 @@ let of_hello (h : Wire.hello) =
     Paillier.keygen ?rand_bits:h.rand_bits s1_rng ~bits:(pub.Paillier.key_bits + 16)
   in
   let rng = Rng.fork ctx_rng ~label:"s2" in
-  create ~pub ~djpub ~sk ~djsk:(Option.get djsk_opt) ~own_pub ~rng
+  create ?domains ~pub ~djpub ~sk ~djsk:(Option.get djsk_opt) ~own_pub ~rng ()
 
 (* ---------------- per-request handlers ----------------
 
@@ -58,8 +59,31 @@ let of_hello (h : Wire.hello) =
    request, decrypts what the protocol lets it decrypt, and records each
    revealed fact in its trace under the request's protocol label. *)
 
-let dj_bit rng t b =
-  Damgard_jurik.encrypt rng t.djpub (if b then Nat.one else Nat.zero)
+(* Draw, then compute (DESIGN.md section 4j): every generator draw stays
+   on the calling domain in list order — exactly the draws sequential
+   execution makes — and only the pure decryptions and exponentiations
+   run on the pool, so responses, traces and op counts are
+   width-independent. *)
+let compute_list t f xs = Core.Pool.map_list ~domains:t.domains f xs
+
+let dj_bit_of t nonce b =
+  Damgard_jurik.encrypt_nonce t.djpub nonce (if b then Nat.one else Nat.zero)
+
+(* One revealed bit per element, answered as E2(bit): [test] decrypts
+   (pure), the E2 nonces come from [t.rng] in list order. *)
+let bits_round t ~label test xs =
+  let drawn = List.map (fun x -> (x, Damgard_jurik.draw_nonce t.rng t.djpub)) xs in
+  let answered =
+    compute_list t
+      (fun (x, nonce) ->
+        let b = test x in
+        (b, dj_bit_of t nonce b))
+      drawn
+  in
+  Trace.record t.trace (Trace.Equality_bits { protocol = label; bits = List.map fst answered });
+  Wire.Bits2 (List.map snd answered)
+
+let is_zero_dec t c = Nat.is_zero (Paillier.decrypt t.sk c)
 
 (* S2 layers its own randomness on a masked SecDedup item and updates the
    escrow pack under S1's personal key accordingly (Algorithm 7). *)
@@ -137,28 +161,43 @@ let rec handle t ~label (req : Wire.request) : Wire.response =
   match req with
   | Wire.Batch reqs ->
     (* a batch is exactly its elements handled in order: same decryptions,
-       same trace events, same rng draws as singleton execution *)
-    Wire.Batch_resp (List.map (handle t ~label) reqs)
+       same trace events, same rng draws as singleton execution. Recover
+       elements draw nothing and trace nothing, so they are decrypted up
+       front, all at width. *)
+    let recovered =
+      ref
+        (compute_list t
+           (fun c -> Damgard_jurik.decrypt_layered t.djsk t.pub c)
+           (List.filter_map (function Wire.Recover c -> Some c | _ -> None) reqs))
+    in
+    Wire.Batch_resp
+      (List.map
+         (function
+           | Wire.Recover _ -> (
+             match !recovered with
+             | inner :: rest ->
+               recovered := rest;
+               Wire.Ct inner
+             | [] -> assert false)
+           | req -> handle t ~label req)
+         reqs)
   | Wire.Sign_of c ->
     let sign = Bigint.sign (Paillier.decrypt_signed t.sk c) in
     Trace.record t.trace (Trace.Comparison { protocol = label; ordering = sign });
     Wire.Sign sign
-  | Wire.Equality diffs ->
-    let bits = List.map (fun c -> Nat.is_zero (Paillier.decrypt t.sk c)) diffs in
-    Trace.record t.trace (Trace.Equality_bits { protocol = label; bits });
-    Wire.Bits2 (List.map (dj_bit t.rng t) bits)
+  | Wire.Equality diffs -> bits_round t ~label (is_zero_dec t) diffs
   | Wire.Conjunction groups ->
-    (* a group holds iff every difference decrypts to zero *)
-    let bits =
-      List.map (fun g -> List.for_all (fun c -> Nat.is_zero (Paillier.decrypt t.sk c)) g) groups
-    in
-    Trace.record t.trace (Trace.Equality_bits { protocol = label; bits });
-    Wire.Bits2 (List.map (dj_bit t.rng t) bits)
+    (* a group holds iff every difference decrypts to zero (decrypting
+       up to the first non-zero one, as ever) *)
+    bits_round t ~label (List.for_all (is_zero_dec t)) groups
   | Wire.Recover c -> Wire.Ct (Damgard_jurik.decrypt_layered t.djsk t.pub c)
   | Wire.Lift cs ->
     (* re-encrypt the (blinded, uniform) plaintexts under DJ *)
+    let drawn = List.map (fun c -> (c, Damgard_jurik.draw_nonce t.rng t.djpub)) cs in
     Wire.Bits2
-      (List.map (fun c -> Damgard_jurik.encrypt t.rng t.djpub (Paillier.decrypt t.sk c)) cs)
+      (compute_list t
+         (fun (c, nonce) -> Damgard_jurik.encrypt_nonce t.djpub nonce (Paillier.decrypt t.sk c))
+         drawn)
   | Wire.Dgk_low_bits { bits; z } ->
     let zv = Paillier.decrypt t.sk z in
     let z_bits = List.init bits (fun i -> if Nat.nth_bit zv i then 1 else 0) in
@@ -461,24 +500,25 @@ let serve_loop ?registry ?mux fd root collector =
   done
 
 let serve_fd ?on_ready ?registry fd =
+  let domains = Domain.recommended_domain_count () in
   match Wire.read_frame fd with
   | None -> ()
   | Some first -> (
     match Wire.decode_control first with
     | Wire.Hello h ->
       Obs.set_enabled h.Wire.obs;
-      let root, setup_s = Obs.Timer.time (fun () -> of_hello h) in
+      let root, setup_s = Obs.Timer.time (fun () -> of_hello ~domains h) in
       Option.iter (fun f -> f setup_s) on_ready;
       let collector = Obs.Collector.create () in
       Wire.write_frame fd (Wire.encode_control_reply Wire.Ok_ctl);
-      (* daemon child: no further forks, so a background filler is safe *)
-      Noise_pool.start_filler root.pnoise;
+      (* refills run as jobs on the daemon's compute pool *)
+      Noise_pool.start_filler root.pnoise ~submit:Core.Pool.async;
       Fun.protect
         ~finally:(fun () -> Noise_pool.quiesce root.pnoise)
         (fun () ->
           (* mux sessions replay the client's provisioning per open —
              the byte-identical twin of a per-query dedicated connection *)
-          let mux = mux_state ~make:(fun ~session:_ -> of_hello h) in
+          let mux = mux_state ~make:(fun ~session:_ -> of_hello ~domains h) in
           Obs.with_collector collector (fun () ->
               serve_loop ?registry ~mux fd root collector))
     | Wire.Stats_req ->
@@ -489,3 +529,89 @@ let serve_fd ?on_ready ?registry fd =
       in
       Wire.write_frame fd (Wire.encode_control_reply (Wire.Stats_resp snap))
     | _ -> invalid_arg "S2_server: expected Hello")
+
+(* ---------------- the daemon's accept loop ----------------
+
+   Each connection gets its own domain: a coalescing serve-s1 holds one
+   scheduler connection open for its whole lifetime, so a sequential
+   accept loop would lock out every later client (a second S1, a stats
+   scrape). Responder state stays per-connection; the registry is the
+   only thing shared, and it locks internally.
+
+   Live connection domains plus a finished-awaiting-join list, reaped on
+   each accept: a long-lived daemon taking periodic stats scrapes must
+   not accumulate one dead handle per connection for the process
+   lifetime. Spawning happens under the lock, and a finishing domain
+   retires its own entry under the same lock, so the retire can never
+   miss an entry the spawner has not inserted yet. *)
+let listen ?(spawn = Domain.spawn) ?(log = ignore) ?(warn = ignore) ?(once = false)
+    ~registry ~stop sock =
+  let connections_c = Obs.Registry.counter registry "connections" in
+  let spawn_failures_c = Obs.Registry.counter registry "spawn_failures" in
+  let warmup_g = Obs.Registry.gauge registry "comb_warmup_seconds" in
+  let combs_g = Obs.Registry.gauge registry "combs_built" in
+  let conns = ref [] and reaped = ref [] in
+  let lock = Mutex.create () in
+  let next_id = ref 0 in
+  let serve_conn id fd =
+    (try
+       serve_fd fd ~registry ~on_ready:(fun dt ->
+           (* warm-up is scrapeable, not just a line lost in stdout:
+              latest duration + cumulative comb-table count (pub, djpub,
+              own_pub per provisioning) *)
+           Obs.Registry.set warmup_g dt;
+           Obs.Registry.add_gauge combs_g 3.;
+           log (Printf.sprintf "S2: keys provisioned, combs warmed in %.0f ms" (dt *. 1000.)))
+     with e -> warn ("S2: connection failed: " ^ Printexc.to_string e));
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    log "S2: connection closed";
+    Mutex.lock lock;
+    let mine, rest = List.partition (fun (id', _) -> id' = id) !conns in
+    conns := rest;
+    reaped := List.rev_append (List.map snd mine) !reaped;
+    Mutex.unlock lock
+  in
+  let take_reaped () =
+    Mutex.lock lock;
+    let r = !reaped in
+    reaped := [];
+    Mutex.unlock lock;
+    r
+  in
+  let rec loop () =
+    if not (stop ()) then
+      match Unix.accept sock with
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> loop () (* re-check the flag *)
+      | fd, _peer ->
+        (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
+        Obs.Registry.inc connections_c;
+        log "S2: connection accepted";
+        Mutex.lock lock;
+        let id = !next_id in
+        incr next_id;
+        let started =
+          match spawn (fun () -> serve_conn id fd) with
+          | d ->
+            conns := (id, d) :: !conns;
+            true
+          | exception _ -> false
+        in
+        Mutex.unlock lock;
+        if not started then begin
+          (* OCaml's domain cap (128, shared with the compute pool):
+             refuse this connection, keep listening *)
+          Obs.Registry.inc spawn_failures_c;
+          warn "S2: no domain for the connection; closed it";
+          (try Unix.close fd with Unix.Unix_error _ -> ())
+        end;
+        List.iter Domain.join (take_reaped ());
+        if not (once && started) then loop ()
+  in
+  loop ();
+  (* drain: every accepted connection still runs to completion *)
+  Mutex.lock lock;
+  let live = List.map snd !conns in
+  conns := [];
+  Mutex.unlock lock;
+  List.iter Domain.join live;
+  List.iter Domain.join (take_reaped ())

@@ -12,20 +12,27 @@ open Crypto
 
 type t
 
+(** [domains] (default 1) is the compute width of the pure halves of
+    request handling — decryptions and the exponentiations of fresh
+    encryptions — on the {!Core.Pool}; randomness is still drawn from
+    [rng] in sequential order, so responses and traces do not depend on
+    it. Forked sessions inherit it. *)
 val create :
+  ?domains:int ->
   pub:Paillier.public ->
   djpub:Damgard_jurik.public ->
   sk:Paillier.secret ->
   djsk:Damgard_jurik.secret ->
   own_pub:Paillier.public ->
   rng:Rng.t ->
+  unit ->
   t
 
 (** Rebuild S2 state from the client's provisioning parameters, replaying
     the seeded generator in the exact order [Ctx.provision] consumes it
     (keygen, then the "ctx"/"s1"/"s2" forks). Demo/test provisioning: real
     deployments ship keys out-of-band. *)
-val of_hello : Wire.hello -> t
+val of_hello : ?domains:int -> Wire.hello -> t
 
 (** Answer one request; the label names the protocol for trace purposes. *)
 val handle : t -> label:string -> Wire.request -> Wire.response
@@ -76,6 +83,32 @@ val handle_mux_ops :
     control frame — mid-session, or as the very first frame from a
     key-less monitoring client — answers with [Stats_resp] carrying the
     registry snapshot (mid-session scrapes also fold in the connection's
-    op counters as [op_*] counter series). *)
+    op counters as [op_*] counter series).
+
+    Every responder on the connection computes at the core count
+    ([Domain.recommended_domain_count ()]); the noise pool's refills run
+    as {!Core.Pool.async} jobs on the same helpers. *)
 val serve_fd :
   ?on_ready:(float -> unit) -> ?registry:Obs.Registry.t -> Unix.file_descr -> unit
+
+(** The serve-s2 accept loop on a listening socket: one domain per
+    connection running {!serve_fd} with [registry], until [stop ()] holds
+    at an accept (a signal handler flips it and interrupts [accept]) or,
+    with [once], after the first served connection. Then every live
+    connection runs to completion and its domain is joined.
+
+    Registers [connections] and [spawn_failures] counters and the
+    [comb_warmup_seconds] / [combs_built] gauges on [registry]. [log]
+    receives the per-connection lifecycle lines, [warn] failures. When
+    [spawn] (default [Domain.spawn]) fails — OCaml caps a process at 128
+    live domains — the connection is closed, [spawn_failures] counts it
+    and the loop keeps accepting. *)
+val listen :
+  ?spawn:((unit -> unit) -> unit Domain.t) ->
+  ?log:(string -> unit) ->
+  ?warn:(string -> unit) ->
+  ?once:bool ->
+  registry:Obs.Registry.t ->
+  stop:(unit -> bool) ->
+  Unix.file_descr ->
+  unit

@@ -2,22 +2,23 @@ open Crypto
 
 let protocol = "SecBest"
 
-(* Phase 1 of one history list: shuffle, diffs. Phase 2: the local select
-   fold over the equality bits, yielding either the bottom score directly
-   (empty prefix) or an E2 accumulator awaiting one RecoverEnc. The
-   per-list rounds are batched across the whole history: one Equality
-   batch, then one Recover batch — two rounds regardless of depth. *)
+(* Phase 1 of one history list: shuffle, draw the diffs' blinds (every
+   list's diffs are then computed together, at width). Phase 2: the
+   local select fold over the equality bits, yielding either the bottom
+   score directly (empty prefix) or an E2 accumulator awaiting one
+   RecoverEnc. The per-list rounds are batched across the whole history:
+   one Equality batch, then one Recover batch — two rounds regardless of
+   depth. *)
 let prepare (s1 : Ctx.s1) ~(target : Enc_item.entry) (seen, bottom) =
   let arr = Array.of_list seen in
   ignore (Rng.shuffle s1.rng arr);
   let permuted = Array.to_list arr in
-  let diffs =
+  let drawn =
     List.map
-      (fun (e : Enc_item.entry) ->
-        Ehl.Ehl_plus.diff ?blind_bits:s1.blind_bits s1.rng s1.pub target.Enc_item.ehl e.Enc_item.ehl)
+      (fun (e : Enc_item.entry) -> Gadgets.draw_diff s1 target.Enc_item.ehl e.Enc_item.ehl)
       permuted
   in
-  (permuted, bottom, diffs)
+  (permuted, bottom, drawn)
 
 let fold_list (s1 : Ctx.s1) (permuted, bottom, _) reply =
   let dj = s1.djpub in
@@ -57,9 +58,9 @@ let run_many (ctx : Ctx.t) queries =
     List.map (fun (target, history) -> (target, List.map (prepare s1 ~target) history)) queries
   in
   let all_lists = List.concat_map snd prepped in
+  let diffs = Gadgets.diff_lists ctx (List.map (fun (_, _, drawn) -> drawn) all_lists) in
   let replies =
-    Ctx.rpc_batch ctx ~label:protocol
-      (List.map (fun (_, _, diffs) -> Wire.Equality diffs) all_lists)
+    Ctx.rpc_batch ctx ~label:protocol (List.map (fun d -> Wire.Equality d) diffs)
   in
   let pending = List.map2 (fold_list s1) all_lists replies in
   let recovered =

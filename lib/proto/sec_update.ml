@@ -21,18 +21,17 @@ let run (ctx : Ctx.t) ~mode ~t_list ~gamma =
     let news = Array.of_list gamma in
     ignore (Rng.shuffle s1.rng news);
     let n_old = Array.length olds and n_new = Array.length news in
-    (* one equality round for the whole |gamma| x |T| grid *)
-    let diffs = ref [] in
+    (* one equality round for the whole |gamma| x |T| grid: the blinds
+       are drawn in the historical (reverse) grid order, the
+       multi-exponentiations run at the context's compute width *)
+    let drawn = ref [] in
     for i = n_new - 1 downto 0 do
       for j = n_old - 1 downto 0 do
-        let d =
-          Ehl.Ehl_plus.diff ?blind_bits:s1.blind_bits s1.rng s1.pub news.(i).Enc_item.ehl
-            olds.(j).Enc_item.ehl
-        in
-        diffs := d :: !diffs
+        drawn := Gadgets.draw_diff s1 news.(i).Enc_item.ehl olds.(j).Enc_item.ehl :: !drawn
       done
     done;
-    let ts = Array.of_list (Gadgets.equality_round ctx ~protocol !diffs) in
+    let diffs = List.concat (Gadgets.diff_lists ctx [ !drawn ]) in
+    let ts = Array.of_list (Gadgets.equality_round ctx ~protocol diffs) in
     let t_of i j = ts.((i * n_old) + j) in
     let zero = Gadgets.enc_zero s1 in
     (* --- old entries: W'_j = W_j + sum_i t_ij * W_i ; B'_j refreshed.
@@ -99,30 +98,41 @@ let run (ctx : Ctx.t) ~mode ~t_list ~gamma =
          per-cell/score/seen choices of every appended item are
          independent, so the whole fan-out is one select_recover batch *)
       let z = Ctx.sentinel_z s1 in
-      let choices =
-        Array.mapi
-          (fun i (nw : Enc_item.scored) ->
-            let t = matched_e2.(i) in
-            let n = s1.pub.Paillier.n in
-            let cell_choices =
+      let n = s1.pub.Paillier.n in
+      let nonce () = Paillier.draw_nonce s1.rng s1.pub in
+      (* draw: per item, a random value and nonce per cell, the nonce of
+         Enc(Z), a nonce per seen slot — the historical order *)
+      let drawn =
+        Array.map
+          (fun (nw : Enc_item.scored) ->
+            let cells =
               Array.map
                 (fun cell ->
-                  let rand = Paillier.encrypt s1.rng s1.pub (Rng.nat_below s1.rng n) in
-                  (t, rand, cell))
+                  let v = Rng.nat_below s1.rng n in
+                  (cell, v, nonce ()))
                 (Ehl.Ehl_plus.cells nw.Enc_item.ehl)
             in
-            let enc_z = Paillier.encrypt s1.rng s1.pub z in
+            let z_nonce = nonce () in
+            let seen = Array.map (fun u -> (u, nonce ())) nw.Enc_item.seen in
+            (nw, cells, z_nonce, seen))
+          news
+      in
+      (* compute: the encryptions, at width *)
+      let choices =
+        Ctx.compute ctx ~jobs:n_new (fun i ->
+            let nw, cells, z_nonce, seen = drawn.(i) in
+            let t = matched_e2.(i) in
+            let enc = Paillier.encrypt_nonce s1.pub in
+            let cell_choices =
+              Array.map (fun (cell, v, nonce) -> (t, enc nonce v, cell)) cells
+            in
+            let enc_z = enc z_nonce z in
             (* sentinel copies get an all-ones seen vector so their best
                score stays -1 under the checkpoint refresh *)
-            let seen_choices =
-              Array.map
-                (fun u -> (t, Paillier.encrypt s1.rng s1.pub Nat.one, u))
-                nw.Enc_item.seen
-            in
+            let seen_choices = Array.map (fun (u, nonce) -> (t, enc nonce Nat.one, u)) seen in
             Array.to_list cell_choices
             @ [ (t, enc_z, nw.Enc_item.worst); (t, enc_z, nw.Enc_item.best) ]
             @ Array.to_list seen_choices)
-          news
       in
       let flat_choices = List.concat (Array.to_list choices) in
       let picked =

@@ -22,23 +22,21 @@ let run_many ?seen (ctx : Ctx.t) (queries : (Enc_item.entry * Enc_item.entry lis
         let arr = Array.of_list others in
         let perm = Rng.shuffle s1.rng arr in
         let permuted = Array.to_list arr in
-        let diffs =
+        let drawn =
           List.map
-            (fun (o : Enc_item.entry) ->
-              Ehl.Ehl_plus.diff ?blind_bits:s1.blind_bits s1.rng s1.pub target.Enc_item.ehl
-                o.Enc_item.ehl)
+            (fun (o : Enc_item.entry) -> Gadgets.draw_diff s1 target.Enc_item.ehl o.Enc_item.ehl)
             permuted
         in
-        (target, perm, permuted, diffs))
+        (target, perm, permuted, drawn))
       queries
   in
+  let diffs = Gadgets.diff_lists ctx (List.map (fun (_, _, _, drawn) -> drawn) prepped) in
   let ts_per_query =
     List.map
       (function
         | Wire.Bits2 ts -> ts
         | _ -> failwith "Sec_worst.run_many: unexpected response")
-      (Ctx.rpc_batch ctx ~label:protocol
-         (List.map (fun (_, _, _, diffs) -> Wire.Equality diffs) prepped))
+      (Ctx.rpc_batch ctx ~label:protocol (List.map (fun d -> Wire.Equality d) diffs))
   in
   (* undo S1's own permutation on the indicators: perm maps new -> old *)
   let unpermuted_per_query =

@@ -39,11 +39,13 @@ let channel t = t.chan
 let keys t = t.keys
 
 (* The socket transport multiplexes every session over one ordered byte
-   stream: concurrent domains would interleave frames, so Ctx.parallel
-   degrades to sequential execution (results are width-independent by
-   construction, only wall time changes). Mux keeps the scheduler's
-   one-outstanding-op-per-query invariant — the all-parked ship condition
-   counts queries, not forks — so it degrades the same way. *)
+   stream: concurrent domains would interleave frames, so sub-sessions
+   that talk to S2 (Ctx.fork_subs at Ctx.effective_domains) run one after
+   another (results are width-independent by construction, only wall time
+   changes). Mux keeps the scheduler's one-outstanding-op-per-query
+   invariant — the all-parked ship condition counts queries, not forks —
+   so it does the same. Compute width (Ctx.compute, Ctx.parallel's
+   S1-local tasks) does not depend on it. *)
 let concurrent t =
   match t.kind with Socket _ | Mux _ -> false | Inproc _ | Loopback _ -> true
 
@@ -243,8 +245,9 @@ let hello fd h =
 
 (* Fork a child process serving the S2 side of a socketpair; returns the
    parent's connected fd (Hello already exchanged) and the child pid.
-   Safe under OCaml 5 because Core.Pool joins its domains before
-   returning, so no domain is live at fork time. *)
+   OCaml 5 refuses to fork once the process has spawned a domain, so
+   this must run before the first parallel work (Core.Pool's fork
+   rule). *)
 let spawn_daemon h =
   let parent_fd, child_fd = Unix.socketpair Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   match Unix.fork () with

@@ -45,8 +45,9 @@ val keys : t -> Wire.keys
 
 (** False for [Socket] (one ordered byte stream cannot interleave
     concurrent sessions) and for [Mux] (the scheduler's ship condition
-    assumes one outstanding op per query): [Ctx.parallel] runs
-    sequentially on both. *)
+    assumes one outstanding op per query): sub-sessions that talk to S2
+    run one after another on both ([Ctx.effective_domains]). Compute
+    width ([Ctx.compute], [Ctx.parallel]) does not depend on it. *)
 val concurrent : t -> bool
 
 val mode_name : t -> string
@@ -93,7 +94,9 @@ val shutdown : t -> unit
 val hello : Unix.file_descr -> Wire.hello -> unit
 
 (** Fork a child process serving S2 over a socketpair; returns the
-    connected fd (Hello done) and the child pid. *)
+    connected fd (Hello done) and the child pid. OCaml 5 refuses to fork
+    once the process has spawned a domain, so call it before the first
+    parallel work ({!Core.Pool}'s fork rule). *)
 val spawn_daemon : Wire.hello -> Unix.file_descr * int
 
 (** {!shutdown} + reap the daemon process. *)

@@ -1195,15 +1195,25 @@ let write_frame fd data =
   Bytes.blit_string data 0 buf 4 len;
   write_all fd (Bytes.unsafe_to_string buf) 0 (4 + len)
 
+(* The buffer grows with the bytes that actually arrive (doubling from
+   64 KiB), so a length header's claim costs no memory until the payload
+   does: a peer announcing a 1 GiB frame and sending nothing holds 64 KiB,
+   not 1 GiB. *)
 let read_exact fd len =
-  let buf = Bytes.create len in
+  let buf = ref (Bytes.create (min len 65536)) in
   let rec go off =
-    if off >= len then Some (Bytes.to_string buf)
-    else
-      match Unix.read fd buf off (len - off) with
+    if off >= len then Some (Bytes.unsafe_to_string !buf)
+    else begin
+      if off = Bytes.length !buf then begin
+        let bigger = Bytes.create (min len (2 * off)) in
+        Bytes.blit !buf 0 bigger 0 off;
+        buf := bigger
+      end;
+      match Unix.read fd !buf off (Bytes.length !buf - off) with
       | 0 -> if off = 0 then None else invalid_arg "Wire: truncated frame"
       | n -> go (off + n)
       | exception Unix.Unix_error (EINTR, _, _) -> go off
+    end
   in
   go 0
 

@@ -206,7 +206,9 @@ val response_header_bytes : int
 
 (** Length-prefixed framing over a file descriptor (Socket transport). The
     4-byte prefix is transport plumbing, excluded from bandwidth
-    accounting. [read_frame] returns [None] on clean EOF. *)
+    accounting. [read_frame] returns [None] on clean EOF; its buffer grows
+    with the bytes received, so an unbacked length claim allocates
+    nothing up front. *)
 val write_frame : Unix.file_descr -> string -> unit
 
 val read_frame : Unix.file_descr -> string option

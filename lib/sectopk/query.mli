@@ -30,10 +30,10 @@ type options = {
           into the unsigned domain by a homomorphic [+2] shift). *)
   max_depth : int option;  (** Cap on scanned depths (benchmarks). *)
   domains : int;
-      (** Domain-pool width for the per-depth protocol fan-out (see
-          {!Proto.Ctx.parallel}); results and traces are identical for
-          every setting. Effective width is the max of this and the
-          context's own [domains]. *)
+      (** Compute width of the query ({!Proto.Ctx.compute}, and
+          {!Proto.Ctx.parallel}'s fan-out where the transport allows);
+          results and traces are identical for every setting. Effective
+          width is the max of this and the context's own [domains]. *)
 }
 
 val default_options : options

@@ -76,6 +76,7 @@ type telemetry = {
   shards_g : Obs.Registry.gauge;  (* shard count of the served index *)
   shard_queries_c : Obs.Registry.counter;  (* shard depth loops driven *)
   shard_merge_rounds_c : Obs.Registry.counter;  (* coordinator checkpoint merges *)
+  spawn_failures_c : Obs.Registry.counter;  (* connections refused: no session domain *)
 }
 
 let make_telemetry () =
@@ -97,30 +98,8 @@ let make_telemetry () =
     shards_g = Obs.Registry.gauge reg "shards";
     shard_queries_c = Obs.Registry.counter reg "shard_queries";
     shard_merge_rounds_c = Obs.Registry.counter reg "shard_merge_rounds";
+    spawn_failures_c = Obs.Registry.counter reg "spawn_failures";
   }
-
-(* A write-once cell: the session parks on it while its query runs on a
-   worker domain. *)
-module Ivar = struct
-  type 'a t = { m : Mutex.t; c : Condition.t; mutable v : 'a option }
-
-  let create () = { m = Mutex.create (); c = Condition.create (); v = None }
-
-  let fill t v =
-    Mutex.lock t.m;
-    t.v <- Some v;
-    Condition.broadcast t.c;
-    Mutex.unlock t.m
-
-  let read t =
-    Mutex.lock t.m;
-    while t.v = None do
-      Condition.wait t.c t.m
-    done;
-    let v = Option.get t.v in
-    Mutex.unlock t.m;
-    v
-end
 
 type t = {
   cfg : config;
@@ -132,6 +111,7 @@ type t = {
   wake_r : Unix.file_descr;
   wake_w : Unix.file_descr;
   service : Core.Service.t;
+  spawn : (unit -> unit) -> unit Domain.t;  (* session domains *)
   sched : Sched.t option;  (* shared round scheduler (coalescing on) *)
   sched_fd : Unix.file_descr option ref;
       (* its current S2 connection (Tcp mode); the backend swaps it on
@@ -218,7 +198,12 @@ let run_query t tk =
       (Ctx.Socket_fd fd, fun () -> try Unix.close fd with Unix.Unix_error (_, _, _) -> ())
   in
   Fun.protect ~finally:cleanup (fun () ->
-      let qctx = Ctx.of_keys ~blind_bits:t.cfg.blind_bits ~mode ctx_rng pub sk in
+      (* compute width = worker count: the query's Ctx.compute chunks go
+         to whichever workers are idle (Core.Service workers are the
+         compute pool's helpers) *)
+      let qctx =
+        Ctx.of_keys ~blind_bits:t.cfg.blind_bits ~domains:t.cfg.workers ~mode ctx_rng pub sk
+      in
       let res, shard_stats = Shard.run_with_stats qctx t.ers tk t.cfg.options in
       Obs.Registry.add t.tel.shard_queries_c shard_stats.Shard.shards;
       Obs.Registry.add t.tel.shard_merge_rounds_c shard_stats.Shard.merge_rounds;
@@ -300,7 +285,7 @@ let job t tk ~conn ~seq ~submitted cell =
   locked t (fun () ->
       t.running <- t.running - 1;
       update_load_gauges t);
-  Ivar.fill cell resp
+  Core.Ivar.fill cell resp
 
 (* ---- sessions (one domain per connection) ------------------------------ *)
 
@@ -366,7 +351,7 @@ let session t id fd =
                reject msg;
                loop ()
              | tk ->
-               let cell = Ivar.create () in
+               let cell = Core.Ivar.create () in
                let submitted = Unix.gettimeofday () in
                let admitted =
                  locked t (fun () ->
@@ -401,7 +386,7 @@ let session t id fd =
                    };
                  write Wire.Busy
                | `Accepted ->
-                 let resp = Ivar.read cell in
+                 let resp = Core.Ivar.read cell in
                  Fun.protect ~finally:(fun () -> settle t) (fun () -> write resp));
                if not t.draining then loop ())))
      in
@@ -430,22 +415,36 @@ let listener_loop t =
       else begin
         (match Unix.accept t.lsock with
         | exception Unix.Unix_error ((EINTR | ECONNABORTED), _, _) -> ()
-        | fd, _ ->
-          let accepted =
+        | fd, _ -> (
+          let outcome =
             locked t (fun () ->
-                if t.draining then false
+                if t.draining then `Draining
                 else begin
                   let id = t.next_conn in
-                  t.next_conn <- id + 1;
-                  t.conns <- (id, fd) :: t.conns;
-                  Obs.Registry.set t.tel.open_sessions_g
-                    (float_of_int (List.length t.conns));
-                  let d = Domain.spawn (fun () -> session t id fd) in
-                  t.sessions <- (id, d) :: t.sessions;
-                  true
+                  (* spawned under the lock, so the session cannot retire
+                     before its entries below exist *)
+                  match t.spawn (fun () -> session t id fd) with
+                  | d ->
+                    t.next_conn <- id + 1;
+                    t.conns <- (id, fd) :: t.conns;
+                    Obs.Registry.set t.tel.open_sessions_g
+                      (float_of_int (List.length t.conns));
+                    t.sessions <- (id, d) :: t.sessions;
+                    `Started
+                  | exception _ ->
+                    (* OCaml's domain cap (128, shared with the compute
+                       pool): refuse this connection, keep listening *)
+                    `No_domain
                 end)
           in
-          if not accepted then Unix.close fd);
+          match outcome with
+          | `Started -> ()
+          | `Draining -> Unix.close fd
+          | `No_domain ->
+            Obs.Registry.inc t.tel.spawn_failures_c;
+            (try Wire.write_frame fd (Wire.encode_server_msg t.wkeys Wire.Busy)
+             with Unix.Unix_error (_, _, _) -> ());
+            Unix.close fd));
         (* join finished sessions so a long-running server does not
            accumulate dead domain handles *)
         let finished = locked t (fun () -> let r = t.reaped in t.reaped <- []; r) in
@@ -457,7 +456,7 @@ let listener_loop t =
 
 (* ---- lifecycle --------------------------------------------------------- *)
 
-let start ?(port = 0) cfg index =
+let start ?(port = 0) ?(spawn = Domain.spawn) cfg index =
   if cfg.workers <= 0 then invalid_arg "Server.start: workers <= 0";
   if cfg.queue_depth < 0 then invalid_arg "Server.start: queue_depth < 0";
   let stores = match index with Single st -> [| st |] | Sharded sts -> sts in
@@ -499,7 +498,10 @@ let start ?(port = 0) cfg index =
       in
       match cfg.s2 with
       | Local ->
-        let st = S2_server.mux_state ~make:(fun ~session:_ -> S2_server.of_hello hello) in
+        let st =
+          S2_server.mux_state ~make:(fun ~session:_ ->
+              S2_server.of_hello ~domains:cfg.workers hello)
+        in
         ( Some
             (Sched.create ~window_us:cfg.coalesce_window_us ~registry:tel.reg
                ~backend:(S2_server.handle_mux_ops st) ()),
@@ -567,6 +569,7 @@ let start ?(port = 0) cfg index =
         wake_r;
         wake_w;
         service = Core.Service.create ~domains:cfg.workers ~queue_depth:cfg.queue_depth;
+        spawn;
         sched;
         sched_fd;
         collector = Obs.Collector.create ();

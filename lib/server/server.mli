@@ -80,8 +80,18 @@ type t
     ephemeral — read it back with {!port}), spawns the listener and the
     worker pool, and returns immediately. Fixed-base comb tables are
     warmed once here for the whole serving set (the [comb_warmup_seconds]
-    and [combs_built] gauges), never per shard or per query. *)
-val start : ?port:int -> config -> index -> t
+    and [combs_built] gauges), never per shard or per query.
+
+    The [workers] are helpers of the process-wide {!Core.Pool}; each
+    query computes at width [workers], its pure arithmetic spreading onto
+    whichever workers are idle.
+
+    [spawn] (default [Domain.spawn]) starts each connection's session
+    domain. When it fails — OCaml caps a process at 128 live domains —
+    the connection is answered [Busy] and closed, the [spawn_failures]
+    counter is bumped, and the listener keeps accepting. *)
+val start :
+  ?port:int -> ?spawn:((unit -> unit) -> unit Domain.t) -> config -> index -> t
 
 val port : t -> int
 val stats : t -> stats

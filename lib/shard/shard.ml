@@ -191,7 +191,7 @@ let run_sharded (ctx : Ctx.t) ers (tk : Sectopk.Scheme.token)
        construction and never meet, so the per-depth O(|T|·|gamma|) work
        divides by the shard count. *)
     let updated =
-      Core.Pool.run ~domains:pool_domains ~jobs:(Array.length scored_by_shard) (fun p ->
+      Core.Pool.map ~domains:pool_domains ~jobs:(Array.length scored_by_shard) (fun p ->
           let j, scored = scored_by_shard.(p) in
           Obs.with_collector subs.(j).Ctx.obs (fun () ->
               let gamma = Sec_dedup.run subs.(j) ~mode:dedup_mode scored in
@@ -210,7 +210,7 @@ let run_sharded (ctx : Ctx.t) ers (tk : Sectopk.Scheme.token)
         Array.of_list (List.filter (fun j -> t_lists.(j) <> []) (List.init shards Fun.id))
       in
       let refreshed =
-        Core.Pool.run ~domains:pool_domains ~jobs:(Array.length refresh_shards) (fun p ->
+        Core.Pool.map ~domains:pool_domains ~jobs:(Array.length refresh_shards) (fun p ->
             let j = refresh_shards.(p) in
             Obs.with_collector subs.(j).Ctx.obs (fun () ->
                 ( j,

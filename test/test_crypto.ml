@@ -335,7 +335,8 @@ let test_ciphertext_sizes () =
 
 (* Consumption is a pure function of the creating generator's state: the
    same seed yields the same noise stream whether values are computed on
-   demand, prefilled, or produced by a background filler domain. *)
+   demand, prefilled, or produced by background refill jobs on the
+   compute pool. *)
 let pool_stream ~variant n =
   let r = Rng.create ~seed:"test_noise_pool" in
   let p = Noise_pool.create ~depth:8 r ~label:"p" (fun r -> Paillier.noise r pub) in
@@ -343,7 +344,7 @@ let pool_stream ~variant n =
   | `On_demand -> ()
   | `Prefill -> Noise_pool.prefill p n
   | `Filler ->
-    Noise_pool.start_filler p;
+    Noise_pool.start_filler p ~submit:Core.Pool.async;
     (* give the filler a chance to race the consumer *)
     Domain.cpu_relax ());
   let out = List.init n (fun _ -> Noise_pool.take p) in

@@ -494,8 +494,136 @@ let test_shutdown_closes_port () =
       false
     | exception Unix.Unix_error ((ECONNREFUSED | ETIMEDOUT), _, _) -> true)
 
+(* ---------------- hostile edges ---------------- *)
+
+(* A 4-byte header claiming ~1 GiB with no payload behind it: the session
+   buffers only what arrives (Wire.read_frame grows with the bytes), and
+   the server keeps answering everyone else. *)
+let test_oversized_header_then_query () =
+  with_server (fun srv ->
+      let port = Server.port srv in
+      let hostile = connect port in
+      Fun.protect
+        ~finally:(fun () -> Unix.close hostile)
+        (fun () ->
+          (match read_msg hostile with
+          | Wire.Server_hello _ -> ()
+          | _ -> Alcotest.fail "unexpected hello");
+          ignore (Unix.write_substring hostile "\x3f\xff\xff\xf0" 0 4);
+          with_client port (fun fd ->
+              check_is_expected "query beside a 1 GiB claim" (expected_resp ()) (ask fd token))))
+
+(* [spawn] fails for the first connection, as Domain.spawn does at
+   OCaml's 128-domain cap: that client gets a typed [Busy] and a closed
+   connection, the failure is counted, and the listener keeps serving. *)
+let fail_first_spawn () =
+  let calls = Atomic.make 0 in
+  fun f ->
+    if Atomic.fetch_and_add calls 1 = 0 then failwith "failed to allocate domain"
+    else Domain.spawn f
+
+let test_s1_spawn_failure () =
+  let st = Store.open_index ~dir:(store_dir ()) pub in
+  let srv = Server.start ~spawn:(fail_first_spawn ()) (cfg 2 8) (Server.Single st) in
+  Fun.protect
+    ~finally:(fun () ->
+      Server.shutdown srv;
+      Store.close st)
+    (fun () ->
+      let port = Server.port srv in
+      let refused = connect port in
+      (match read_msg refused with
+      | Wire.Busy -> ()
+      | _ -> Alcotest.fail "expected Busy from a connection without a session domain");
+      Alcotest.(check bool) "then closed" true (Wire.read_frame refused = None);
+      Unix.close refused;
+      with_client port (fun fd ->
+          check_is_expected "next connection served" (expected_resp ()) (ask fd token));
+      Alcotest.(check int) "spawn failure counted" 1
+        (snap_counter (scrape port) "spawn_failures"))
+
+let test_s2_spawn_failure () =
+  let sock = Unix.socket PF_INET SOCK_STREAM 0 in
+  Unix.setsockopt sock SO_REUSEADDR true;
+  Unix.bind sock (ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen sock 8;
+  let port = match Unix.getsockname sock with ADDR_INET (_, p) -> p | _ -> assert false in
+  let registry = Obs.Registry.create () in
+  let stop = Atomic.make false in
+  let listener =
+    Domain.spawn (fun () ->
+        S2_server.listen ~spawn:(fail_first_spawn ()) ~registry
+          ~stop:(fun () -> Atomic.get stop)
+          sock)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      (* wake the blocking accept: the loop sees [stop] after it *)
+      Atomic.set stop true;
+      Unix.close (connect port);
+      Domain.join listener;
+      Unix.close sock)
+    (fun () ->
+      let refused = connect port in
+      Alcotest.(check bool) "refused connection closed" true (Wire.read_frame refused = None);
+      Unix.close refused;
+      let snap = scrape port in
+      Alcotest.(check int) "spawn failure counted" 1 (snap_counter snap "spawn_failures");
+      Alcotest.(check int) "both connections accepted" 2 (snap_counter snap "connections"))
+
+(* ---------------- Core.Pool ---------------- *)
+
+(* [map] equals [Array.map] for any width, job count and number of
+   concurrent callers. *)
+let prop_pool_map =
+  QCheck.Test.make ~count:60 ~name:"Pool.map = Array.map"
+    QCheck.(triple (int_bound 200) (int_range 1 4) (int_range 1 3))
+    (fun (jobs, domains, callers) ->
+      let f i = (i * 7919) + (i mod 13) in
+      let expected = Array.init jobs f in
+      let one () = Core.Pool.map ~domains ~jobs f in
+      let others = List.init (callers - 1) (fun _ -> Domain.spawn one) in
+      let mine = one () in
+      mine = expected && List.for_all (fun d -> Domain.join d = expected) others)
+
+exception Task_failed of int
+
+let test_pool_reraises () =
+  let jobs = 40 in
+  let task i = if i = 17 || i = 31 then raise (Task_failed i) else i in
+  (match Core.Pool.map ~domains:3 ~jobs task with
+  | _ -> Alcotest.fail "expected the task's exception"
+  | exception Task_failed i -> Alcotest.(check int) "lowest failing chunk's exception" 17 i);
+  Alcotest.(check (array int)) "pool still works" (Array.init jobs Fun.id)
+    (Core.Pool.map ~domains:3 ~jobs Fun.id);
+  (* background/await carries exceptions too *)
+  match Core.Pool.await (Core.Pool.background (fun () -> raise (Task_failed 5))) with
+  | () -> Alcotest.fail "expected the background task's exception"
+  | exception Task_failed 5 -> ()
+
+(* Obs counters bumped in pool chunks land in the caller's collector,
+   whatever the width. *)
+let test_pool_counts () =
+  let prev = Obs.is_enabled () in
+  Obs.set_enabled true;
+  Fun.protect
+    ~finally:(fun () -> Obs.set_enabled prev)
+    (fun () ->
+      let count domains =
+        let c = Obs.Collector.create () in
+        Obs.with_collector c (fun () ->
+            ignore (Core.Pool.map ~domains ~jobs:50 (fun i -> Obs.add Obs.Metrics.Modexp i)));
+        Obs.Metrics.get (Obs.Collector.metrics c) Obs.Metrics.Modexp
+      in
+      Alcotest.(check int) "width 1" 1225 (count 1);
+      Alcotest.(check int) "width 3" 1225 (count 3))
+
 let suite =
-  [ ( "service",
+  [ ( "pool",
+      [ QCheck_alcotest.to_alcotest prop_pool_map;
+        Alcotest.test_case "re-raises a task's exception" `Quick test_pool_reraises;
+        Alcotest.test_case "counters merge into the caller" `Quick test_pool_counts ] );
+    ( "service",
       [ Alcotest.test_case "deterministic overflow" `Quick test_service_busy;
         Alcotest.test_case "runs everything admitted" `Quick test_service_runs_everything;
         Alcotest.test_case "survives job crashes" `Quick test_service_swallows_exceptions ] );
@@ -509,6 +637,11 @@ let suite =
         Alcotest.test_case "live scrape mid-load" `Slow test_live_scrape;
         Alcotest.test_case "query log + sampled traces" `Slow test_query_log_and_traces;
         Alcotest.test_case "2-shard serving" `Slow test_sharded_server;
-        Alcotest.test_case "shutdown closes port" `Slow test_shutdown_closes_port ] ) ]
+        Alcotest.test_case "shutdown closes port" `Slow test_shutdown_closes_port ] );
+    ( "edges",
+      [ Alcotest.test_case "1 GiB header claim, then a query" `Slow
+          test_oversized_header_then_query;
+        Alcotest.test_case "serve-s1 survives a spawn failure" `Slow test_s1_spawn_failure;
+        Alcotest.test_case "serve-s2 survives a spawn failure" `Quick test_s2_spawn_failure ] ) ]
 
 let () = Alcotest.run "server" suite

@@ -23,6 +23,28 @@ let rand_bits = 96
 
 let hello = { Wire.seed; key_bits; rand_bits = Some rand_bits; obs = true }
 
+(* OCaml refuses [Unix.fork] in a process that has ever spawned a domain
+   (the spawning domain keeps a backup thread for the life of the
+   process, even after every other domain is joined). The width tests
+   start compute-pool helpers, so every socket daemon this suite uses is
+   forked up front, before the first query, and handed out in order; each
+   case declares how many it takes (see [case]). *)
+let daemons = Queue.create ()
+
+let prefork_daemons n =
+  for _ = 1 to n do
+    Queue.add (Transport.spawn_daemon hello) daemons
+  done;
+  (* daemons a filtered run never used: EOF makes them exit *)
+  at_exit (fun () ->
+      Queue.iter
+        (fun (fd, pid) ->
+          (try Unix.close fd with Unix.Unix_error _ -> ());
+          ignore (Unix.waitpid [] pid))
+        daemons)
+
+let take_daemon () = Queue.pop daemons
+
 type outcome = {
   top : (Nat.t * Nat.t * Nat.t array) list;  (** raw (worst, best, seen) ciphertexts *)
   ids : string list;  (** decrypted result identities *)
@@ -45,14 +67,25 @@ let merge_ops a b =
   |> List.filter (fun (_, v) -> v > 0)
 
 (* run one seeded Fig. 3 query on a given transport; [pid] set when a
-   daemon child must be reaped afterwards *)
-let run_on ~variant (mode : Ctx.mode) (pid : int option) : outcome =
+   daemon child must be reaped afterwards. [domains] is the context's
+   compute width; [shards > 1] runs the sharded coordinator over a
+   row-partitioned encryption of the same relation. [trace] reads S2's
+   trace where the transport cannot (mux). *)
+let run_on ?(domains = 1) ?(shards = 1) ?trace ~variant (mode : Ctx.mode) (pid : int option) :
+    outcome =
   let pub, sk, ctx_rng, data_rng = Ctx.provision ~seed ~key_bits ~rand_bits () in
-  let ctx = Ctx.of_keys ~blind_bits:48 ~mode ctx_rng pub sk in
-  let er, key = Sectopk.Scheme.encrypt ~s:4 data_rng pub fig3 in
-  let tk = Sectopk.Scheme.token key ~m_total:3 (Scoring.sum_of [ 0; 1; 2 ]) ~k:2 in
-  let res =
-    Sectopk.Query.run ctx er tk { Sectopk.Query.default_options with variant }
+  let ctx = Ctx.of_keys ~blind_bits:48 ~domains ~mode ctx_rng pub sk in
+  let options = { Sectopk.Query.default_options with variant } in
+  let tk_of key = Sectopk.Scheme.token key ~m_total:3 (Scoring.sum_of [ 0; 1; 2 ]) ~k:2 in
+  let res, key =
+    if shards = 1 then begin
+      let er, key = Sectopk.Scheme.encrypt ~s:4 data_rng pub fig3 in
+      (Sectopk.Query.run ctx er (tk_of key) options, key)
+    end
+    else begin
+      let ers, key = Sectopk.Scheme.encrypt_sharded ~s:4 ~shards data_rng pub fig3 in
+      (Shard.run ctx ers (tk_of key) options, key)
+    end
   in
   (* identity must be checkable without S2 state: open results with the
      provisioned secret key, as a socket-mode client would *)
@@ -60,7 +93,7 @@ let run_on ~variant (mode : Ctx.mode) (pid : int option) : outcome =
   let ids =
     List.map (fun (id, _, _) -> id) (Sectopk.Client.real_results ~sk ctx key ~ids:all_ids res)
   in
-  let trace = Ctx.trace_events ctx in
+  let trace = match trace with Some f -> f () | None -> Ctx.trace_events ctx in
   let chan = Ctx.channel ctx in
   let ops =
     merge_ops
@@ -96,7 +129,7 @@ let run_all ~variant () =
   with_obs (fun () ->
       let inproc = run_on ~variant Ctx.Inproc None in
       let loopback = run_on ~variant Ctx.Loopback None in
-      let fd, pid = Transport.spawn_daemon hello in
+      let fd, pid = take_daemon () in
       let socket = run_on ~variant (Ctx.Socket_fd fd) (Some pid) in
       (inproc, loopback, socket))
 
@@ -127,7 +160,7 @@ let test_variant variant () =
 let test_remote_stats () =
   with_obs (fun () ->
       let pub, sk, ctx_rng, _ = Ctx.provision ~seed ~key_bits ~rand_bits () in
-      let fd, pid = Transport.spawn_daemon hello in
+      let fd, pid = take_daemon () in
       let ctx = Ctx.of_keys ~blind_bits:48 ~mode:(Ctx.Socket_fd fd) ctx_rng pub sk in
       let a = Paillier.encrypt ctx.Ctx.s1.Ctx.rng pub (Nat.of_int 3) in
       let b = Paillier.encrypt ctx.Ctx.s1.Ctx.rng pub (Nat.of_int 5) in
@@ -141,10 +174,93 @@ let test_remote_stats () =
         (Ctx.remote_stats local);
       Transport.stop_daemon ctx.Ctx.transport pid)
 
+(* ---------------- compute width ----------------
+
+   The context's compute width ([Ctx.compute], S2's parallel
+   decryptions) is pure mechanism on every transport: width 1 and width 2
+   must agree on results, ciphertexts, S2 traces, bytes, rounds and op
+   counters. *)
+
+(* A query through a round scheduler with an in-process backend whose
+   responders replay the client's provisioning at the same width (what
+   serve-s1's Local mode does); the session's root responder holds the
+   S2 trace. *)
+let run_mux ~domains ~shards ~variant =
+  let roots = Hashtbl.create 4 and lock = Mutex.create () in
+  let make ~session =
+    let s = S2_server.of_hello ~domains hello in
+    Mutex.lock lock;
+    Hashtbl.replace roots session s;
+    Mutex.unlock lock;
+    s
+  in
+  let st = S2_server.mux_state ~make in
+  let sched =
+    Sched.create ~window_us:0 ~registry:(Obs.Registry.create ())
+      ~backend:(S2_server.handle_mux_ops st) ()
+  in
+  Fun.protect
+    ~finally:(fun () -> Sched.stop sched)
+    (fun () ->
+      let session = Sched.open_query sched in
+      let trace () = Trace.events (S2_server.trace (Hashtbl.find roots session)) in
+      let out = run_on ~domains ~shards ~trace ~variant (Ctx.Mux (sched, session)) None in
+      Sched.close_query sched session;
+      out)
+
+let run_width ~domains ~shards ~variant transport =
+  match transport with
+  | `Inproc -> run_on ~domains ~shards ~variant Ctx.Inproc None
+  | `Loopback -> run_on ~domains ~shards ~variant Ctx.Loopback None
+  | `Socket ->
+    let fd, pid = take_daemon () in
+    run_on ~domains ~shards ~variant (Ctx.Socket_fd fd) (Some pid)
+  | `Mux -> run_mux ~domains ~shards ~variant
+
+let test_width ~shards ~variant transport () =
+  with_obs (fun () ->
+      let narrow = run_width ~domains:1 ~shards ~variant transport in
+      let wide = run_width ~domains:2 ~shards ~variant transport in
+      Alcotest.(check bool) "trace non-trivial" true (List.length narrow.trace > 3);
+      check_identical "width 1 vs 2" narrow wide)
+
+(* The fork rule in practice: a daemon forked before any domain still
+   serves a wide query identically after wide queries have left pool
+   helpers live in this process. *)
+let test_daemon_after_wide_query () =
+  with_obs (fun () ->
+      let wide = run_on ~domains:2 ~variant:Sectopk.Query.Full Ctx.Inproc None in
+      let again = run_on ~domains:2 ~variant:Sectopk.Query.Full Ctx.Inproc None in
+      check_identical "persistent pool, second query" wide again;
+      let fd, pid = take_daemon () in
+      let socket = run_on ~domains:2 ~variant:Sectopk.Query.Full (Ctx.Socket_fd fd) (Some pid) in
+      check_identical "inproc vs socket" wide socket)
+
+(* A test case with the number of socket daemons it takes. *)
+let case ?(daemons = 0) name speed f = (daemons, Alcotest.test_case name speed f)
+
+let width_cases =
+  List.concat_map
+    (fun (tname, transport, daemons) ->
+      [ case ~daemons (tname ^ " Qry_F width 1 vs 2") `Slow
+          (test_width ~shards:1 ~variant:Sectopk.Query.Full transport);
+        case ~daemons (tname ^ " Qry_E 2 shards width 1 vs 2") `Slow
+          (test_width ~shards:2 ~variant:Sectopk.Query.Elim transport) ])
+    [ ("inproc", `Inproc, 0); ("loopback", `Loopback, 0); ("socket", `Socket, 2); ("mux", `Mux, 0) ]
+
 let suite =
   [ ( "identity",
-      [ Alcotest.test_case "Qry_F inproc/loopback/socket" `Slow (test_variant Sectopk.Query.Full);
-        Alcotest.test_case "Qry_E inproc/loopback/socket" `Slow (test_variant Sectopk.Query.Elim) ] );
-    ("daemon", [ Alcotest.test_case "remote stats" `Quick test_remote_stats ]) ]
+      [ case ~daemons:1 "Qry_F inproc/loopback/socket" `Slow (test_variant Sectopk.Query.Full);
+        case ~daemons:1 "Qry_E inproc/loopback/socket" `Slow (test_variant Sectopk.Query.Elim) ] );
+    ("daemon", [ case ~daemons:1 "remote stats" `Quick test_remote_stats ]);
+    ( "width",
+      width_cases
+      @ [ case ~daemons:1 "socket daemon after a wide query" `Quick test_daemon_after_wide_query ]
+    ) ]
 
-let () = Alcotest.run "transport" suite
+let () =
+  prefork_daemons
+    (List.fold_left
+       (fun n (_, cases) -> List.fold_left (fun n (d, _) -> n + d) n cases)
+       0 suite);
+  Alcotest.run "transport" (List.map (fun (group, cases) -> (group, List.map snd cases)) suite)
